@@ -14,11 +14,12 @@
 // the last table -> warm up -> measure for --seconds -> run on to the next
 // merge boundary -> correctness gate (model sums, ScanGate on == off) ->
 // close -> reopen -> gate again.
-// With --trace 0 the last stdout line carries the end-to-end metrics; with
-// --trace 1 half of the requests (pre-drawn) are traced and the line
-// carries the per-layer metrics read from their spans and from the
-// layers' own counters, plus the tracing overhead measured against the
-// untraced half. See README.md in this directory.
+// With --trace 0 the last stdout line carries the end-to-end metrics (CPU
+// costs, set-up CPU time and footprint; the wall-clock times are printed
+// above it, ungated). With --trace 1 half of the requests (pre-drawn) are
+// traced and the line carries the per-layer metrics read from their spans
+// and from the layers' own counters, plus the tracing overhead measured
+// against the untraced half. See README.md in this directory.
 
 #include <algorithm>
 #include <array>
@@ -38,6 +39,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -111,7 +113,9 @@ struct WorkloadSpec {
   std::array<double, 3> write_mix{9, 6, 2};
   double hot_update_frac = 0;  ///< single-row modifies of a shared hot row
   uint32_t batch_rows = 16;    ///< mean InsertRows batch (drawn 0.5x..1.5x)
-  uint32_t writer_think_us = 0;  ///< pause after each reply (0 = none)
+  /// Writers pace themselves to this many completed reads per write call
+  /// (0 = no pacing): a writer waits for the readers before its next call.
+  double reads_per_write = 0;
   // Reader classes: lookup (CollectEquals), CountRange, SumColumn,
   // CountEquals.
   std::array<double, 4> read_mix{1, 0, 0, 0};
@@ -150,18 +154,22 @@ bool MakeSpec(const std::string& name, bool smoke, WorkloadSpec* out) {
   } else if (name == "olap_scan") {
     // 14M rows x 4 columns of 17-bit codes: 119 MiB, more than the LLC.
     s.load_rows = 14 << 20;
-    s.segment_capacity = 1 << 20;
+    // 2M-row segments: at least ScanGate's boarding threshold, so that a
+    // sweep two readers share can hold the next one for its window.
+    s.segment_capacity = 2 << 20;
     s.writers = 1;
     s.readers = 2;
+    // Single-row calls, plus transactions and bulk InsertRows loads, so
+    // that every write-side layer metric (and a merge now and then) is
+    // measured here too.
     s.p_txn = 0.05;
-    s.p_batch = 0.05;
+    s.p_batch = 0.10;
+    s.batch_rows = 1024;
     s.write_mix = {10, 3, 1};
-    s.batch_rows = 16;
     s.read_mix = {18, 27, 39, 9};
     s.range_frac = 0.05;
-    // Figure 1's OLAP mix is ~93% reads: the writer pauses 1 ms after each
-    // reply instead of competing with the readers flat out.
-    s.writer_think_us = 1000;
+    // Figure 1's OLAP mix is ~93% reads and ~7% single-row writes.
+    s.reads_per_write = 93.0 / 7.0;
     s.setup_reps = 2;  // one load is ~20 s of 4-thread ingest
   } else {
     return false;
@@ -259,19 +267,31 @@ struct RunShared {
   std::atomic<int> phase{kWarmup};
   std::atomic<uint64_t> next_request{1};
   std::atomic<bool> halt{false};  ///< clients return after their request
+  std::atomic<uint64_t> reads_done{0};  ///< every reader's finished requests
   std::atomic<bool> bad_read{false};
   bool trace = false;
 };
 
 constexpr size_t kNumReq = static_cast<size_t>(SpanName::kNumRequestNames);
 
-/// One finished request: when it ended, how long it took, and the rows it
-/// wrote (0 for reads and failed writes).
+/// One finished request: when it ended, how long it took, the CPU time its
+/// thread spent on it, and its rows: for a write the rows it wrote (0 if
+/// it failed), for a read the rows its snapshot held.
 struct Sample {
   uint64_t end = 0;  ///< CycleClock ticks
   uint64_t ticks = 0;
+  uint64_t cpu_ns = 0;
   uint64_t rows = 0;
 };
+
+/// CPU time the calling thread has used. Time it spends blocked (in
+/// fdatasync, on a lock, descheduled) does not count.
+uint64_t ThreadCpuNs() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<uint64_t>(ts.tv_nsec);
+}
 
 /// One closed-loop client's outcome (measurement window only).
 struct ClientStats {
@@ -291,14 +311,14 @@ struct ClientStats {
 /// Records one finished request if it ran wholly inside the window.
 void RecordRequest(RunShared& sh, ClientStats& st, SpanName name,
                    bool traced, uint64_t request, uint64_t t0, uint64_t t1,
-                   uint64_t rows, bool started_in_window) {
+                   uint64_t cpu_ns, uint64_t rows, bool started_in_window) {
   if (!started_in_window || sh.phase.load(std::memory_order_relaxed) !=
                                 kMeasure) {
     return;
   }
   const size_t i = static_cast<size_t>(name);
   (traced ? st.lat_traced[i] : st.lat_plain[i])
-      .push_back(Sample{t1, t1 - t0, rows});
+      .push_back(Sample{t1, t1 - t0, cpu_ns, rows});
   if (traced) st.spans.Add(name, request, t0, t1);
 }
 
@@ -366,14 +386,22 @@ class Writer {
   }
 
   void Run() {
+    const double pace =
+        sh_.spec->reads_per_write / static_cast<double>(sh_.spec->writers);
     size_t i = 0;
+    uint64_t calls = 0;
     while (!sh_.halt.load(std::memory_order_relaxed)) {
-      Execute(stream_[i]);
-      if (++i == stream_.size()) i = 0;
-      if (sh_.spec->writer_think_us > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(sh_.spec->writer_think_us));
+      // The think time of a paced writer: wait until the readers have
+      // finished their share of requests.
+      while (pace > 0 && !sh_.halt.load(std::memory_order_relaxed) &&
+             static_cast<double>(
+                 sh_.reads_done.load(std::memory_order_relaxed)) <
+                 static_cast<double>(calls) * pace) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
+      Execute(stream_[i]);
+      ++calls;
+      if (++i == stream_.size()) i = 0;
     }
   }
 
@@ -410,6 +438,7 @@ class Writer {
     const bool traced = req.traced && in_window;
     const uint64_t request =
         sh_.next_request.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t cpu0 = ThreadCpuNs();
     const uint64_t t0 = Now();
     PartitionedTable& t = *sh_.table;
     uint64_t rows = 1;
@@ -508,8 +537,8 @@ class Writer {
       ++st_.write_calls;
       if (ok) st_.user_bytes += rows * kCols * sizeof(uint64_t);
     }
-    RecordRequest(sh_, st_, name, traced, request, t0, t1, ok ? rows : 0,
-                  in_window);
+    RecordRequest(sh_, st_, name, traced, request, t0, t1,
+                  ThreadCpuNs() - cpu0, ok ? rows : 0, in_window);
   }
 
   size_t OwnedHotSlots() const {
@@ -682,6 +711,7 @@ class Reader {
     const bool traced = req.traced && in_window;
     const uint64_t request =
         sh_.next_request.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t cpu0 = ThreadCpuNs();
     const uint64_t t0 = CycleClock::Now();
     PartitionedSnapshot snap = sh_.table->CreateSnapshot();
     const uint64_t t1 = CycleClock::Now();
@@ -734,6 +764,7 @@ class Reader {
     snap.Release();
     const uint64_t t3 = CycleClock::Now();
     if (!good) sh_.bad_read.store(true);
+    sh_.reads_done.fetch_add(1, std::memory_order_relaxed);
     ++st_.attempted;
     if (in_window && sh_.phase.load(std::memory_order_relaxed) == kMeasure) {
       ++st_.reads;
@@ -742,7 +773,8 @@ class Reader {
       st_.spans.Add(SpanName::kSnapshotCapture, request, t0, t1);
       st_.spans.Add(call, request, t1, t2, n);
     }
-    RecordRequest(sh_, st_, name, traced, request, t0, t3, 0, in_window);
+    RecordRequest(sh_, st_, name, traced, request, t0, t3,
+                  ThreadCpuNs() - cpu0, n, in_window);
   }
 
   RunShared& sh_;
@@ -838,6 +870,14 @@ uint64_t ProcWriteBytes() {
     if (key == "wchar:") return value;
   }
   return 0;
+}
+
+/// CPU time every thread of the process has used.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 /// Resident set size now, from /proc/self/statm.
@@ -1181,11 +1221,16 @@ int Main(int argc, char** argv) {
 
   // --- set-up: load + merge the main, several times; keep the last ---
   const std::string table_dir = args.dir + "/table";
+  // Each set-up is timed twice: wall-clock, and the CPU seconds all of
+  // the process's threads spent on it. The CPU seconds are gated; see the
+  // metrics below.
   std::vector<double> setup_s;
+  std::vector<double> setup_cpu_s;
   std::unique_ptr<DurablePartitionedTable> durable;
   for (int rep = 0; rep < spec.setup_reps; ++rep) {
     durable.reset();
     RemoveDir(table_dir);
+    const double c0 = ProcessCpuSeconds();
     const auto t0 = std::chrono::steady_clock::now();
     durable = OpenTable(table_dir, spec);
     if (durable == nullptr || !LoadTable(durable->table(), spec, args.seed)) {
@@ -1195,6 +1240,7 @@ int Main(int argc, char** argv) {
     setup_s.push_back(std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count());
+    setup_cpu_s.push_back(ProcessCpuSeconds() - c0);
   }
   Model want = LoadModel(spec, args.seed);
   // Return what the discarded set-ups freed, so that the RSS sampled during
@@ -1262,12 +1308,12 @@ int Main(int argc, char** argv) {
   const uint64_t w_start = CycleClock::Now();
   sh.phase.store(kMeasure);
   std::vector<double> delta_rows_samples;
-  double peak_rss_mb = RssMb();
+  std::vector<double> rss_mb = {RssMb()};
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(args.seconds);
   while (std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    peak_rss_mb = std::max(peak_rss_mb, RssMb());
+    rss_mb.push_back(RssMb());
     if (args.trace) {
       delta_rows_samples.push_back(static_cast<double>(table.delta_rows()));
     }
@@ -1316,13 +1362,16 @@ int Main(int argc, char** argv) {
   // Reopen three times (the median is reported); the gate checks the first
   // recovery.
   std::vector<double> reopen_s;
+  std::vector<double> reopen_cpu_s;
   uint64_t recovery_wal_records = 0;
   for (int rep = 0; rep < 3 && correct; ++rep) {
+    const double c0 = ProcessCpuSeconds();
     const auto r0 = std::chrono::steady_clock::now();
     durable = OpenTable(table_dir, spec);
     reopen_s.push_back(std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - r0)
                            .count());
+    reopen_cpu_s.push_back(ProcessCpuSeconds() - c0);
     if (durable == nullptr) {
       correct = false;
     } else if (rep == 0) {
@@ -1382,23 +1431,27 @@ int Main(int argc, char** argv) {
   const double live_rows =
       static_cast<double>(std::max<uint64_t>(want.valid, 1));
   if (!args.trace) {
-    // Rates and percentiles are medians over five equal slices of the
-    // window (see SliceMedian).
-    constexpr size_t kSlices = 5;
+    // The gated read metrics are CPU costs: the CPU time the reader spent
+    // on its requests (time blocked on a lock or descheduled does not
+    // count) per row of the snapshot read. On a shared VM the wall-clock
+    // times below swing 2-4x for minutes at a time with the disk and the
+    // neighbours; these CPU costs move by a fraction of that. The
+    // wall-clock times are printed, not gated.
     const std::vector<Sample> w = merged(kWrites, false);
     const std::vector<Sample> l = merged({SpanName::kReqLookup}, false);
     const std::vector<Sample> s = merged(kScans, false);
-    // Full-column sums cost ~10x a predicate count, so each class gets its
-    // own percentiles: over the mix, a median would flip between the two.
+    // Full-column sums cost ~5-10x a predicate count, so each class gets its
+    // own statistics: over the mix, a median would flip between the two.
     const std::vector<Sample> sums = merged({SpanName::kReqSumColumn}, false);
     const std::vector<Sample> counts = merged(
         {SpanName::kReqCountRange, SpanName::kReqCountEquals}, false);
+    // Percentiles are taken over the whole window's samples; rates are
+    // medians over five equal slices of it (see SliceMedian).
+    constexpr size_t kSlices = 5;
     auto pct = [&](const std::vector<Sample>& v, double q) {
-      return TicksToUs(SliceMedian(
-          v, w_start, w_end, kSlices,
-          [q](std::vector<uint64_t>& t, double, double) {
-            return Percentile(t, q);
-          }));
+      std::vector<uint64_t> ticks;
+      for (const Sample& x : v) ticks.push_back(x.ticks);
+      return TicksToUs(Percentile(ticks, q));
     };
     auto rate = [&](const std::vector<Sample>& v, bool count_rows) {
       return SliceMedian(v, w_start, w_end, kSlices,
@@ -1410,29 +1463,60 @@ int Main(int argc, char** argv) {
                                   part_s;
                          });
     };
-    std::printf("samples: %zu write calls, %zu lookups, %zu scans in %.2f s\n",
-                w.size(), l.size(), s.size(), window_s);
-    // Printed for reading, not gated: the p99s are too unsteady on a shared
-    // box, and the absolute sizes grow with the rows a run wrote.
-    std::printf("ungated: write_p99_us %.1f lookup_p99_us %.1f reopen_s %.3f "
-                "peak_rss_mb %.1f\n",
-                pct(w, 0.99), pct(l, 0.99), Median(reopen_s), peak_rss_mb);
+    // Median over the requests of CPU ns per row written or per snapshot
+    // row read.
+    auto cpu_ns_per_row = [](const std::vector<Sample>& v) {
+      std::vector<double> ns;
+      for (const Sample& x : v) {
+        if (x.rows > 0) {
+          ns.push_back(static_cast<double>(x.cpu_ns) /
+                       static_cast<double>(x.rows));
+        }
+      }
+      return Median(ns);
+    };
+    std::printf("samples: %zu write calls, %zu lookups, %zu scans (%zu sums, "
+                "%zu counts) in %.2f s; reads are %.1f%% of requests\n",
+                w.size(), l.size(), s.size(), sums.size(), counts.size(),
+                window_s,
+                100.0 * static_cast<double>(l.size() + s.size()) /
+                    static_cast<double>(
+                        std::max<size_t>(1, w.size() + l.size() + s.size())));
+    std::printf("wall-clock (ungated): write_rows_per_s %.1f write_p50_us %.1f "
+                "write_p90_us %.1f write_p99_us %.1f lookup_p50_us %.1f "
+                "lookup_p90_us %.1f lookup_p99_us %.1f scan_qps %.1f "
+                "sum_p50_us %.1f count_p50_us %.1f count_p90_us %.1f "
+                "reopen_s %.3f peak_rss_mb %.1f setup_wall_s %.3f\n",
+                rate(w, true), pct(w, 0.50), pct(w, 0.90), pct(w, 0.99),
+                pct(l, 0.50), pct(l, 0.90), pct(l, 0.99), rate(s, false),
+                pct(sums, 0.50), pct(counts, 0.50), pct(counts, 0.90),
+                Median(reopen_s),
+                *std::max_element(rss_mb.begin(), rss_mb.end()),
+                Median(setup_s));
+    // Not gated either. A write call's CPU time grows with the disk's
+    // fdatasync latency (oltp_commit: ~55 us/row at ~0.1 ms, 70-90 at
+    // ~0.25 ms), with or without group-commit boarding. A sum's cost is set
+    // by how much of the host's LLC the other tenants leave it (it
+    // histograms 17-bit codes): its median moved by 18-26% on every
+    // workload between two sets of runs 20 minutes apart.
+    std::printf("cpu (ungated): write_cpu_us_per_row %.3f sum_cpu_ns_per_row "
+                "%.3f\n",
+                cpu_ns_per_row(w) / 1e3, cpu_ns_per_row(sums));
     metrics = {
-        {"setup_s", Median(setup_s), "s"},
-        {"write_rows_per_s", rate(w, true), "rows/s"},
-        {"write_p50_us", pct(w, 0.50), "us"},
-        {"write_p90_us", pct(w, 0.90), "us"},
-        {"lookup_p50_us", pct(l, 0.50), "us"},
-        {"lookup_p90_us", pct(l, 0.90), "us"},
-        {"scan_qps", rate(s, false), "1/s"},
-        {"sum_p50_us", pct(sums, 0.50), "us"},
-        {"count_p50_us", pct(counts, 0.50), "us"},
-        {"count_p90_us", pct(counts, 0.90), "us"},
+        // CPU seconds, not wall-clock: a set-up writes its table through
+        // the WAL and checkpoints, and its wall-clock time moved by up to
+        // 24% between sets of runs with the host's disk and CPU steal.
+        {"setup_s", Median(setup_cpu_s), "s"},
+        {"lookup_cpu_ns_per_row", cpu_ns_per_row(l), "ns/row"},
+        {"count_cpu_ns_per_row", cpu_ns_per_row(counts), "ns/row"},
         // Per live row: a closed loop writes more rows when the code gets
         // faster, and a bigger table must not read as a regression.
-        {"reopen_ns_per_row", Median(reopen_s) * 1e9 / live_rows, "ns/row"},
+        {"reopen_cpu_ns_per_row", Median(reopen_cpu_s) * 1e9 / live_rows,
+         "ns/row"},
         {"disk_bytes_per_row", disk_bytes / live_rows, "B/row"},
-        {"rss_bytes_per_row", peak_rss_mb * 1024 * 1024 / live_rows,
+        // The median RSS sample: a merge's transient peak lands in some
+        // windows and not in others.
+        {"rss_bytes_per_row", Median(rss_mb) * 1024 * 1024 / live_rows,
          "B/row"},
     };
   } else {
@@ -1453,12 +1537,19 @@ int Main(int argc, char** argv) {
                           ? "writer-" + std::to_string(i)
                           : "reader-" + std::to_string(i - writers.size()));
       dropped += all[i]->spans.dropped();
+      // A request still running when the window closed has child spans
+      // but no request span; its calls are left out with it.
+      std::unordered_set<uint64_t> recorded;
+      for (const Span& sp : all[i]->spans.spans()) {
+        if (IsRequest(sp.name)) recorded.insert(sp.request);
+      }
       for (const Span& sp : all[i]->spans.spans()) {
         const uint64_t d = sp.end - sp.start;
         if (IsRequest(sp.name)) {
           request_ticks += static_cast<double>(d);
           continue;
         }
+        if (!recorded.contains(sp.request)) continue;
         calls[static_cast<size_t>(sp.name)].push_back(d);
         call_rows[static_cast<size_t>(sp.name)] += sp.rows;
         if (IsQueryCall(sp.name)) query_ticks += static_cast<double>(d);
@@ -1475,20 +1566,23 @@ int Main(int argc, char** argv) {
     auto p = [&](SpanName n, double q) {
       return TicksToUs(Percentile(calls[static_cast<size_t>(n)], q));
     };
-    // Tracing overhead: traced vs untraced mean latency per request class,
-    // weighted by the class's traced request count.
+    // Tracing overhead: traced vs untraced median latency per request
+    // class, weighted by the class's traced request count. Medians, because
+    // a merge pause that lands on a few requests of one half would move a
+    // mean by tens of percent.
+    auto median_ticks = [](const std::vector<Sample>& v) {
+      std::vector<double> t;
+      for (const Sample& x : v) t.push_back(static_cast<double>(x.ticks));
+      return Median(t);
+    };
     double overhead = 0;
     double weight = 0;
     for (size_t i = 0; i < kNumReq; ++i) {
       const auto& a = sum.lat_traced[i];
       const auto& b = sum.lat_plain[i];
       if (a.empty() || b.empty()) continue;
-      double ma = 0, mb = 0;
-      for (const Sample& x : a) ma += static_cast<double>(x.ticks);
-      for (const Sample& x : b) mb += static_cast<double>(x.ticks);
-      ma /= static_cast<double>(a.size());
-      mb /= static_cast<double>(b.size());
-      overhead += (ma / mb - 1.0) * static_cast<double>(a.size());
+      overhead += (median_ticks(a) / median_ticks(b) - 1.0) *
+                  static_cast<double>(a.size());
       weight += static_cast<double>(a.size());
     }
     const MergeStats ms = [&] {
