@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The DeltaMerge Authors.
 // google-benchmark micro-benchmarks of the library's hot primitives:
 // packed-vector access, CSB+ insert/lookup, dictionary merge, merge-path
-// splits. These are the per-operation costs behind the figure benches.
+// splits, the CRC-32 kernels. These are the per-operation costs behind the
+// figure benches.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "simd/simd_kernels.h"
 #include "storage/csb_tree.h"
 #include "storage/packed_vector.h"
+#include "util/crc32.h"
 #include "util/cycle_clock.h"
 #include "util/random.h"
 #include "workload/table_builder.h"
@@ -52,6 +54,32 @@ void BM_PackedVectorSequentialRead(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_PackedVectorSequentialRead)->Arg(7)->Arg(27);
+
+// CRC-32 throughput of each kernel Crc32 chooses between (arg 0: 1 = the
+// PCLMULQDQ folding path, 0 = the slicing-by-8 fallback) at a WAL frame
+// header's order of size, a page, and a full stream buffer.
+void BM_Crc32(benchmark::State& state) {
+  const bool fold = state.range(0) != 0;
+  const size_t n = static_cast<size_t>(state.range(1));
+  if (fold && !detail::Crc32FoldSupported()) {
+    state.SkipWithError("no PCLMULQDQ on this CPU");
+    return;
+  }
+  std::vector<uint8_t> data(n);
+  Rng rng(3);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = fold ? detail::Crc32Fold(data.data(), n, crc)
+               : detail::Crc32Slice8(data.data(), n, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)
+    ->ArgNames({"fold", "bytes"})
+    ->ArgsProduct({{1, 0}, {64, 4096, 256 * 1024}});
 
 void BM_CsbTreeInsert(benchmark::State& state) {
   const uint64_t domain = static_cast<uint64_t>(state.range(0));

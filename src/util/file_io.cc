@@ -57,7 +57,7 @@ Result<std::unique_ptr<FileWriter>> FileWriter::Create(
 
 Status FileWriter::Write(const void* data, size_t n) {
   if (fd_ < 0) return Status::FailedPrecondition("writer is closed");
-  crc_ = Crc32(data, n, crc_);
+  if (crc_armed_) crc_ = Crc32(data, n, crc_);
   bytes_written_ += n;
   const auto* p = static_cast<const uint8_t*>(data);
   // Large writes bypass the buffer once it has been drained.
@@ -124,12 +124,21 @@ Result<size_t> FileReader::ReadUpTo(void* out, size_t n) {
   size_t got = 0;
   while (got < n) {
     if (buf_pos_ == buf_len_) {
+      // A drained buffer and a request at least its size: read(2) into
+      // the destination directly rather than copying through the buffer.
+      const bool direct = n - got >= buffer_.size();
+      uint8_t* const into = direct ? dst + got : buffer_.data();
+      const size_t want = direct ? n - got : buffer_.size();
       ssize_t r;
       do {
-        r = ::read(fd_, buffer_.data(), buffer_.size());
+        r = ::read(fd_, into, want);
       } while (r < 0 && errno == EINTR);
       if (r < 0) return Errno("read", path_);
       if (r == 0) break;  // EOF
+      if (direct) {
+        got += static_cast<size_t>(r);
+        continue;
+      }
       buf_pos_ = 0;
       buf_len_ = static_cast<size_t>(r);
     }
@@ -138,7 +147,7 @@ Result<size_t> FileReader::ReadUpTo(void* out, size_t n) {
     buf_pos_ += take;
     got += take;
   }
-  crc_ = Crc32(dst, got, crc_);
+  if (crc_armed_) crc_ = Crc32(dst, got, crc_);
   offset_ += got;
   return got;
 }

@@ -2,12 +2,15 @@
 // Buffered POSIX file I/O for the durability layer (src/persist).
 //
 // FileWriter batches small writes (a WAL frame, a checkpoint field) into one
-// write(2) per buffer fill, tracks a running CRC-32 of every byte written,
+// write(2) per buffer fill, can keep a running CRC-32 of the bytes written,
 // and separates Flush (hand bytes to the OS) from Sync (fdatasync — the
 // durability point the WAL sync policies are defined against). FileReader
 // is the sequential mirror with the same running CRC, so a checkpoint can
-// be validated while it streams in. Free helpers cover the directory-level
-// crash-consistency idioms: atomic rename, directory fsync, listing.
+// be validated while it streams in. The running CRC is off until ResetCrc()
+// arms it: the WAL frames carry their own CRCs, and checksumming their
+// bytes a second time in the stream would only cost time. Free helpers
+// cover the directory-level crash-consistency idioms: atomic rename,
+// directory fsync, listing.
 //
 // Exception-free like the rest of the tree: failures surface as Status.
 
@@ -63,9 +66,14 @@ class FileWriter {
   const std::string& path() const { return path_; }
   uint64_t bytes_written() const { return bytes_written_; }
 
-  /// Running CRC-32 of every byte passed to Write since the last ResetCrc.
+  /// Running CRC-32 of every byte passed to Write since the last ResetCrc;
+  /// 0 while no ResetCrc has armed it.
   uint32_t crc() const { return crc_; }
-  void ResetCrc() { crc_ = 0; }
+  /// Restarts the running CRC at 0 and keeps it running from here on.
+  void ResetCrc() {
+    crc_ = 0;
+    crc_armed_ = true;
+  }
 
  private:
   FileWriter(std::string path, int fd);
@@ -75,6 +83,7 @@ class FileWriter {
   std::vector<uint8_t> buffer_;
   uint64_t bytes_written_ = 0;
   uint32_t crc_ = 0;
+  bool crc_armed_ = false;
 };
 
 /// Buffered sequential reader with the same running CRC as FileWriter.
@@ -92,7 +101,8 @@ class FileReader {
 
   /// Reads up to `n` bytes; returns how many were read (0 at EOF). Used by
   /// the WAL replay loop, where a short read means a torn tail, not an
-  /// error.
+  /// error. Once the buffer is drained, a read of at least the buffer size
+  /// goes straight into `out` without the intermediate copy.
   Result<size_t> ReadUpTo(void* out, size_t n);
 
   Status ReadU8(uint8_t* v) { return Read(v, sizeof(*v)); }
@@ -103,9 +113,14 @@ class FileReader {
   uint64_t offset() const { return offset_; }
   uint64_t file_size() const { return file_size_; }
 
-  /// Running CRC-32 of every byte returned since the last ResetCrc.
+  /// Running CRC-32 of every byte returned since the last ResetCrc; 0
+  /// while no ResetCrc has armed it.
   uint32_t crc() const { return crc_; }
-  void ResetCrc() { crc_ = 0; }
+  /// Restarts the running CRC at 0 and keeps it running from here on.
+  void ResetCrc() {
+    crc_ = 0;
+    crc_armed_ = true;
+  }
 
  private:
   FileReader(std::string path, int fd, uint64_t file_size);
@@ -118,6 +133,7 @@ class FileReader {
   size_t buf_pos_ = 0;
   size_t buf_len_ = 0;
   uint32_t crc_ = 0;
+  bool crc_armed_ = false;
 };
 
 /// mkdir -p (single level is enough for the persist layout).

@@ -21,6 +21,7 @@
 #include "durable_torture_util.h"
 #include "persist/checkpoint.h"
 #include "persist/durable_table.h"
+#include "persist/manifest.h"
 #include "persist/wal.h"
 #include "storage/dictionary.h"
 #include "storage/main_partition.h"
@@ -58,17 +59,6 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32("", 0), 0u);
 }
 
-TEST(Crc32Test, IncrementalMatchesOneShot) {
-  const char* data = "delta merge write-ahead log";
-  const size_t n = std::strlen(data);
-  const uint32_t whole = Crc32(data, n);
-  for (size_t split = 0; split <= n; ++split) {
-    uint32_t crc = Crc32(data, split);
-    crc = Crc32(data + split, n - split, crc);
-    EXPECT_EQ(crc, whole) << "split at " << split;
-  }
-}
-
 TEST(Crc32Test, CombineMatchesIncrementalAtEverySplit) {
   // Crc32Combine(crc(A), crc(B), |B|) must equal crc(A||B) — this is what
   // lets a batch payload be checksummed outside the table lock and merged
@@ -84,18 +74,101 @@ TEST(Crc32Test, CombineMatchesIncrementalAtEverySplit) {
   EXPECT_EQ(Crc32Combine(whole, 0, 0), whole);  // empty suffix is identity
 }
 
+// Bit-at-a-time CRC-32 with no tables, independent of both library paths.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t n, uint32_t seed = 0) {
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+    }
+  }
+  return ~c;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (auto& x : out) x = static_cast<uint8_t>(rng.Below(256));
+  return out;
+}
+
+// Checks Crc32 and each available kernel against `expect` for `n` bytes of
+// `src` placed at source alignments 0..15 (relative to a 16-byte boundary).
+void ExpectEveryPathAtEveryAlignment(const std::vector<uint8_t>& src,
+                                     size_t n, uint32_t seed,
+                                     uint32_t expect) {
+  std::vector<uint8_t> shifted(n + 32);
+  const auto base = reinterpret_cast<uintptr_t>(shifted.data());
+  const size_t to16 = (16 - base % 16) % 16;
+  for (size_t align = 0; align < 16; ++align) {
+    uint8_t* p = shifted.data() + to16 + align;
+    if (n > 0) std::memcpy(p, src.data(), n);
+    EXPECT_EQ(Crc32(p, n, seed), expect) << "n " << n << " align " << align;
+    EXPECT_EQ(detail::Crc32Slice8(p, n, seed), expect)
+        << "n " << n << " align " << align;
+    if (detail::Crc32FoldSupported()) {
+      EXPECT_EQ(detail::Crc32Fold(p, n, seed), expect)
+          << "n " << n << " align " << align;
+    }
+  }
+}
+
+TEST(Crc32Test, EveryPathMatchesBitwiseReference) {
+  // Every length through several 64-byte fold blocks (each tail length mod
+  // 16 and mod 8, below and above the 64-byte fold threshold), fresh and
+  // continued from a seed, at every source alignment.
+  const std::vector<uint8_t> src = RandomBytes(1024, 17);
+  for (size_t n = 0; n <= 1024; ++n) {
+    ExpectEveryPathAtEveryAlignment(src, n, 0, ReferenceCrc32(src.data(), n));
+  }
+  for (size_t n : {63ul, 64ul, 65ul, 200ul, 1024ul}) {
+    const uint32_t seed = 0xCBF43926u;
+    ExpectEveryPathAtEveryAlignment(src, n, seed,
+                                    ReferenceCrc32(src.data(), n, seed));
+  }
+  const size_t big = (size_t{1} << 20) + 5;
+  const std::vector<uint8_t> large = RandomBytes(big, 18);
+  ExpectEveryPathAtEveryAlignment(large, big, 0,
+                                  ReferenceCrc32(large.data(), big));
+}
+
+TEST(Crc32Test, IncrementalMatchesOneShot) {
+  // Splits on both sides of the 16-byte block and 64-byte fold boundaries,
+  // so a continued call starts mid-block and with a sub-threshold head.
+  const std::vector<uint8_t> src = RandomBytes(300, 20);
+  const size_t n = src.size();
+  const uint32_t whole = ReferenceCrc32(src.data(), n);
+  for (size_t split = 0; split <= n; ++split) {
+    const uint8_t* p = src.data();
+    EXPECT_EQ(Crc32(p + split, n - split, Crc32(p, split)), whole)
+        << "split at " << split;
+    EXPECT_EQ(detail::Crc32Slice8(p + split, n - split,
+                                  detail::Crc32Slice8(p, split, 0)),
+              whole)
+        << "split at " << split;
+    if (detail::Crc32FoldSupported()) {
+      EXPECT_EQ(detail::Crc32Fold(p + split, n - split,
+                                  detail::Crc32Fold(p, split, 0)),
+                whole)
+          << "split at " << split;
+    }
+  }
+}
+
 TEST(Crc32Test, CombineMatchesAcrossLengthScales) {
-  // Lengths that stress different set-bit patterns of the zero-operator
-  // walk, including multi-KiB payloads like real kInsertBatch records.
-  Rng rng(99);
-  for (const size_t len_b : {1ul, 7ul, 64ul, 255ul, 4096ul, 100'000ul}) {
-    std::vector<uint8_t> a(137), b(len_b);
-    for (auto& x : a) x = static_cast<uint8_t>(rng.Below(256));
-    for (auto& x : b) x = static_cast<uint8_t>(rng.Below(256));
-    const uint32_t crc_a = Crc32(a.data(), a.size());
-    const uint32_t crc_b = Crc32(b.data(), b.size());
-    const uint32_t incremental = Crc32(b.data(), b.size(), crc_a);
-    EXPECT_EQ(Crc32Combine(crc_a, crc_b, len_b), incremental)
+  // Every length of B through several 64-byte fold blocks, and one past
+  // 1 MiB, stressing different set-bit patterns of the zero-operator walk.
+  const std::vector<uint8_t> a = RandomBytes(77, 21);
+  const std::vector<uint8_t> b = RandomBytes((size_t{1} << 20) + 5, 22);
+  const uint32_t crc_a = Crc32(a.data(), a.size());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+  lengths.push_back(b.size());
+  for (const size_t len_b : lengths) {
+    const uint32_t crc_b = Crc32(b.data(), len_b);
+    EXPECT_EQ(Crc32Combine(crc_a, crc_b, len_b),
+              Crc32(b.data(), len_b, crc_a))
         << "len_b " << len_b;
   }
 }
@@ -110,6 +183,7 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
     auto w = FileWriter::Create(path);
     ASSERT_TRUE(w.ok());
     auto& out = *w.ValueOrDie();
+    out.ResetCrc();
     ASSERT_TRUE(out.WriteU32(0xdecafbad).ok());
     ASSERT_TRUE(out.WriteU64(0x0123456789abcdefull).ok());
     std::vector<uint8_t> big(300 * 1024, 0x5a);  // exceeds the buffer
@@ -121,6 +195,7 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
   auto r = FileReader::Open(path);
   ASSERT_TRUE(r.ok());
   auto& in = *r.ValueOrDie();
+  in.ResetCrc();
   EXPECT_EQ(in.file_size(), 4u + 8u + 300u * 1024u);
   uint32_t a = 0;
   uint64_t b = 0;
@@ -139,6 +214,87 @@ TEST(FileIoTest, WriteReadRoundtripWithCrc) {
   auto upto = in.ReadUpTo(&extra, 1);
   ASSERT_TRUE(upto.ok());
   EXPECT_EQ(upto.ValueOrDie(), 0u);
+}
+
+TEST(FileIoTest, StreamCrcCountsOnlyBytesAfterArming) {
+  // Checkpoints and manifests arm the running CRC after their magic; the
+  // trailer must cover exactly the bytes from there on, on both sides. A
+  // stream that is never armed (the WAL) reports 0.
+  ScratchDir dir("fileiocrc");
+  const std::string path = dir.path() + "/blob";
+  const std::vector<uint8_t> bytes = RandomBytes(600 * 1024 + 13, 23);
+  const size_t head = 13;
+  const uint32_t tail_crc =
+      ReferenceCrc32(bytes.data() + head, bytes.size() - head);
+  {
+    auto w = FileWriter::Create(path);
+    ASSERT_TRUE(w.ok());
+    auto& out = *w.ValueOrDie();
+    ASSERT_TRUE(out.Write(bytes.data(), head).ok());
+    EXPECT_EQ(out.crc(), 0u);
+    out.ResetCrc();
+    ASSERT_TRUE(out.Write(bytes.data() + head, 100).ok());
+    ASSERT_TRUE(
+        out.Write(bytes.data() + head + 100, bytes.size() - head - 100).ok());
+    EXPECT_EQ(out.crc(), tail_crc);
+    ASSERT_TRUE(out.Close().ok());
+  }
+  {
+    auto r = FileReader::Open(path);
+    ASSERT_TRUE(r.ok());
+    auto& in = *r.ValueOrDie();
+    std::vector<uint8_t> got(bytes.size());
+    ASSERT_TRUE(in.Read(got.data(), head).ok());
+    EXPECT_EQ(in.crc(), 0u);
+    in.ResetCrc();
+    ASSERT_TRUE(in.Read(got.data() + head, got.size() - head).ok());
+    EXPECT_EQ(in.crc(), tail_crc);
+    EXPECT_EQ(got, bytes);
+  }
+}
+
+TEST(FileIoTest, LargeReadsBypassTheBufferWithSameBytesAndEof) {
+  // Reads of at least the buffer size from a drained buffer go straight
+  // into the destination; contents, CRC, offsets and the short read at EOF
+  // must match the buffered path.
+  ScratchDir dir("fileiodirect");
+  const std::string path = dir.path() + "/blob";
+  const size_t buf = FileReader::kDefaultBufferBytes;
+  const std::vector<uint8_t> bytes = RandomBytes(4 * buf + 5, 24);
+  {
+    auto w = FileWriter::Create(path);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w.ValueOrDie()->Write(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE(w.ValueOrDie()->Close().ok());
+  }
+  auto r = FileReader::Open(path);
+  ASSERT_TRUE(r.ok());
+  auto& in = *r.ValueOrDie();
+  in.ResetCrc();
+  std::vector<uint8_t> got(bytes.size() + 100);
+  size_t at = 0;
+  // 8 buffered bytes, the rest of that buffer fill (drained exactly), a
+  // direct read of an odd size, then 1 byte that refills the buffer.
+  for (const size_t step : {size_t{8}, buf - 8, buf + 3, size_t{1}}) {
+    ASSERT_TRUE(in.Read(got.data() + at, step).ok()) << "at " << at;
+    at += step;
+    EXPECT_EQ(in.offset(), at);
+  }
+  // The rest of the buffer, then a direct read that runs into EOF: the
+  // short count comes back.
+  auto upto = in.ReadUpTo(got.data() + at, got.size() - at);
+  ASSERT_TRUE(upto.ok());
+  EXPECT_EQ(upto.ValueOrDie(), bytes.size() - at);
+  at += upto.ValueOrDie();
+  EXPECT_EQ(in.offset(), bytes.size());
+  got.resize(at);
+  EXPECT_EQ(got, bytes);
+  EXPECT_EQ(in.crc(), ReferenceCrc32(bytes.data(), bytes.size()));
+  std::vector<uint8_t> extra(2 * buf);
+  auto eof = in.ReadUpTo(extra.data(), extra.size());
+  ASSERT_TRUE(eof.ok());
+  EXPECT_EQ(eof.ValueOrDie(), 0u);
+  EXPECT_FALSE(in.Read(extra.data(), extra.size()).ok());
 }
 
 TEST(FileIoTest, TruncateAndListAndRemove) {
@@ -695,6 +851,67 @@ TEST(DurableTableTest, MergeWritesCheckpointAndTruncatesWal) {
   EXPECT_EQ(t.column(0).main_size(), 500u);
 }
 
+std::vector<uint8_t> ReadWholeFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  auto r = FileReader::Open(path);
+  if (!r.ok()) return bytes;
+  bytes.resize(r.ValueOrDie()->file_size());
+  if (!r.ValueOrDie()->Read(bytes.data(), bytes.size()).ok()) bytes.clear();
+  return bytes;
+}
+
+// Trailer of a checkpoint or manifest: CRC-32 of everything after the
+// 8-byte magic, checked against the bitwise reference.
+void ExpectTrailerCoversBodyAfterMagic(const std::vector<uint8_t>& bytes) {
+  ASSERT_GE(bytes.size(), 12u);
+  uint32_t trailer = 0;
+  std::memcpy(&trailer, bytes.data() + bytes.size() - 4, 4);
+  EXPECT_EQ(trailer, ReferenceCrc32(bytes.data() + 8, bytes.size() - 12));
+}
+
+TEST(DurableTableTest, CheckpointAndManifestTrailersCoverBodyAfterMagic) {
+  // The writers arm the stream CRC after the magic is already written, and
+  // the readers after it is already read; the trailer values (and so the
+  // files) must be exactly the format's: CRC-32 of the bytes in between.
+  ScratchDir dir("dttrailer");
+  DurableTableOptions options;
+  options.wal.policy = WalSyncPolicy::kNone;
+  {
+    auto opened = DurableTable::Open(dir.path(), TestSchema(), options);
+    ASSERT_TRUE(opened.ok());
+    Table& t = opened.ValueOrDie()->table();
+    // 40,000 rows: the checkpoint spans several 256 KiB stream buffers.
+    for (uint64_t i = 0; i < 40'000; ++i) t.InsertRow({i, i % 977, i * 7});
+    ASSERT_TRUE(t.DeleteRow(13).ok());
+    TableMergeOptions merge;
+    ASSERT_TRUE(t.Merge(merge).ok());
+  }
+  auto ckpts = persist::ListCheckpoints(dir.path());
+  ASSERT_TRUE(ckpts.ok());
+  ASSERT_EQ(ckpts.ValueOrDie().size(), 1u);
+  const std::string ckpt = dir.path() + "/" + ckpts.ValueOrDie()[0].second;
+  const std::vector<uint8_t> ckpt_bytes = ReadWholeFile(ckpt);
+  EXPECT_GT(ckpt_bytes.size(), 2 * FileWriter::kDefaultBufferBytes);
+  ExpectTrailerCoversBodyAfterMagic(ckpt_bytes);
+  auto loaded = persist::ReadCheckpoint(ckpt);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.ValueOrDie().main_rows, 40'000u);
+
+  persist::ManifestContents manifest;
+  manifest.version = 3;
+  manifest.segment_capacity = uint64_t{1} << 16;
+  manifest.column_widths = {8, 4};
+  manifest.column_names = {"a", "bb"};
+  manifest.segments = {{0, true}, {uint64_t{1} << 16, false}};
+  ASSERT_TRUE(persist::WriteManifest(dir.path(), manifest).ok());
+  const std::string path = dir.path() + "/" + persist::ManifestFileName(3);
+  ExpectTrailerCoversBodyAfterMagic(ReadWholeFile(path));
+  auto read = persist::ReadManifest(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read.ValueOrDie().column_names, manifest.column_names);
+  EXPECT_EQ(read.ValueOrDie().segments.size(), 2u);
+}
+
 TEST(DurableTableTest, SchemaMismatchRefused) {
   ScratchDir dir("dtschema");
   DurableTableOptions options;
@@ -1048,7 +1265,8 @@ TEST(DurableTableTest, CompactionCheckpointTruncatesTombstoneTail) {
     auto& dt = *opened.ValueOrDie();
     Table& t = dt.table();
     for (uint64_t i = 0; i < 500; ++i) t.InsertRow({i, i * 3, i * 7});
-    ASSERT_TRUE(t.Merge(TableMergeOptions{}).ok());
+    TableMergeOptions merge;
+    ASSERT_TRUE(t.Merge(merge).ok());
     EXPECT_EQ(dt.durability_stats().uncheckpointed_records, 0u);
 
     // Tombstone-only traffic grows the un-checkpointed backlog 1:1.
@@ -1141,7 +1359,8 @@ TEST(DurableTableTest, CorruptNewerCheckpointIsSweptAfterFallback) {
     ASSERT_TRUE(opened.ok());
     auto& t = opened.ValueOrDie()->table();
     for (uint64_t i = 0; i < 64; ++i) t.InsertRow({i, i, i});
-    ASSERT_TRUE(t.Merge(TableMergeOptions{}).ok());
+    TableMergeOptions merge;
+    ASSERT_TRUE(t.Merge(merge).ok());
     for (uint64_t i = 0; i < 5; ++i) t.InsertRow({100 + i, i, i});
   }
   const std::string junk =
